@@ -116,23 +116,81 @@ class DataMovementProcessor:
         self.name = name
         self._slots = Resource(env, config.dmp_parallel_slots,
                                name=f"{name}.slots")
+        #: instructions issued onto a full DMP that hold no slot yet
+        self._queued = 0
         self.instructions_executed = 0
 
     def issue(self, mc: Microcode) -> Event:
-        """Queue a microcode; the event fires at instruction completion."""
-        return self.env.process(self._execute(mc), name=f"{self.name}.mc")
+        """Queue a microcode; the event fires at instruction completion.
+
+        A free slot is taken at issue and the pipeline fill becomes the
+        instruction process's start delay; only a full DMP queues.
+        """
+        env = self.env
+        fill = self.config.cycles(self.config.dmp_pipeline_cycles)
+        # An instruction still on its way to the slot queue goes first.
+        if not self._queued and self._slots.try_acquire():
+            sid = self._begin(mc, env._now)
+            return env.process(self._execute(mc, sid), name=f"{self.name}.mc",
+                               delay=fill)
+        self._queued += 1
+        return env.process(self._wait_slot(mc, fill), name=f"{self.name}.mc")
+
+    def _wait_slot(self, mc: Microcode, fill: float):
+        t_q = self.env._now
+        yield self._slots.acquire()
+        self._queued -= 1
+        sid = self._begin(mc, t_q)
+        yield fill
+        return (yield from self._execute(mc, sid))
+
+    def _begin(self, mc: Microcode, t_q: float) -> int:
+        """Instruction start, once it holds a slot: trace it, close its
+        slot wait (queued since *t_q*) and open its span (-1 untraced)."""
+        engine = self.engine
+        if engine.tracer is not None:
+            engine.trace("dmp", "issue", op0=mc.op0.kind.value,
+                         res=mc.res.kind.value, nbytes=mc.nbytes)
+        if engine._span_begin is None:
+            return -1
+        now = self.env._now
+        if now > t_q:
+            engine.span_complete(
+                "dmp", "wait:dmp_slot", t_q, now,
+                phase="wait", op_id=mc.op_id, cause="dmp_slot")
+        return engine.span_begin(
+            "dmp", "instr", phase="dmp", op_id=mc.op_id,
+            op0=mc.op0.kind.value, res=mc.res.kind.value, nbytes=mc.nbytes)
 
     # -- operand gating ---------------------------------------------------------
 
-    def _gate(self, slot: Slot, nbytes: int, op_id: int = -1):
-        """Wait until an operand's *data* is available at the CCLO boundary.
+    def _open_gate(self, slot: Slot, nbytes: int, op_id: int, name: str):
+        """Start gating an operand: ``(data, timing_events)`` inline, or a
+        gate process whose value is that pair.
+
+        Kinds that cannot block (MEMORY, IMMEDIATE) run inline when nothing
+        else is due at this instant: the gate process would then have been
+        the very next thing to run, so its reads keep their order.  With
+        other work pending now (typically sibling instructions whose
+        pipelines filled together), the process keeps every sibling's
+        operand reads ahead of any sibling's result writes, as before.
+        """
+        kind = slot.kind
+        env = self.env
+        if ((kind is SlotKind.MEMORY or kind is SlotKind.IMMEDIATE)
+                and env.peek() > env._now):
+            return self._gate_now(slot, nbytes)
+        return env.process(self._gate(slot, nbytes, op_id),
+                           name=f"{self.name}.{name}")
+
+    def _gate_now(self, slot: Slot, nbytes: int):
+        """An operand whose data is already at the CCLO boundary.
 
         Returns ``(data, timing_events)``: the events charge the pipe/port
         occupancy of moving the operand and run *concurrently* with the
         other stages — the datapath is cut-through, so fetch, plugin, NoC
         and emit all advance in lockstep rather than store-and-forward.
         """
-        engine = self.engine
         if slot.kind is SlotKind.MEMORY:
             if self.config.payload_mode == "counted":
                 # Counted fidelity: segments carry byte-counts only, so the
@@ -146,6 +204,18 @@ class DataMovementProcessor:
                 # plugin, and gating semantics say the operand was read here.
                 data = None if data is None else data.copy()
             return data, [slot.view.device_read(nbytes)]
+        if slot.kind is SlotKind.IMMEDIATE:
+            return slot.data, []
+        raise CcloError(f"slot kind {slot.kind} is not an operand")
+
+    def _gate(self, slot: Slot, nbytes: int, op_id: int = -1):
+        """Gate process: wait until an operand's *data* is available at the
+        CCLO boundary; returns ``(data, timing_events)`` like
+        :meth:`_gate_now`.
+        """
+        engine = self.engine
+        if slot.kind is SlotKind.MEMORY or slot.kind is SlotKind.IMMEDIATE:
+            return self._gate_now(slot, nbytes)
         if slot.kind is SlotKind.RX_EAGER:
             t_wait = self.env.now
             record = yield engine.rbm.await_message(
@@ -171,8 +241,6 @@ class DataMovementProcessor:
                 return None, []
             data = parts[0] if len(parts) == 1 else np.concatenate(parts)
             return data, []
-        if slot.kind is SlotKind.IMMEDIATE:
-            return slot.data, []
         raise CcloError(f"slot kind {slot.kind} is not an operand")
 
     # -- result emit -----------------------------------------------------------
@@ -256,23 +324,11 @@ class DataMovementProcessor:
         SlotKind.NONE: "plugin",
     }
 
-    def _execute(self, mc: Microcode):
-        t_q = self.env.now
-        yield self._slots.acquire()
-        self.engine.trace("dmp", "issue", op0=mc.op0.kind.value,
-                          res=mc.res.kind.value, nbytes=mc.nbytes)
-        sid = -1
-        if self.engine._span_begin is not None:
-            if self.env.now > t_q:
-                self.engine.span_complete(
-                    "dmp", "wait:dmp_slot", t_q, self.env.now,
-                    phase="wait", op_id=mc.op_id, cause="dmp_slot")
-            sid = self.engine.span_begin(
-                "dmp", "instr", phase="dmp", op_id=mc.op_id,
-                op0=mc.op0.kind.value, res=mc.res.kind.value,
-                nbytes=mc.nbytes)
+    def _execute(self, mc: Microcode, sid: int):
+        """Instruction body; runs once the pipeline has filled."""
+        env = self.env
+        engine = self.engine
         try:
-            yield self.config.cycles(self.config.dmp_pipeline_cycles)
             if (mc.op0.kind is SlotKind.STREAM
                     and mc.op1.kind is SlotKind.NONE
                     and mc.func is None
@@ -282,42 +338,41 @@ class DataMovementProcessor:
                 result = yield from self._execute_streaming_tx(mc)
                 return result
             # Gate on operand availability (parallel slot hardware).
-            gate0 = self.env.process(
-                self._gate(mc.op0, mc.nbytes, mc.op_id),
-                name=f"{self.name}.op0"
-            )
-            timing = []
+            gate0 = self._open_gate(mc.op0, mc.nbytes, mc.op_id, "op0")
             if mc.op1.kind is not SlotKind.NONE:
-                gate1 = self.env.process(
-                    self._gate(mc.op1, mc.nbytes, mc.op_id),
-                    name=f"{self.name}.op1"
-                )
-                yield all_of(self.env, [gate0, gate1])
-                data0, t0 = gate0.value
-                data1, t1 = gate1.value
-                timing += t0 + t1
-                data = self.engine.plugins.apply_binary(mc.func, data0, data1)
+                gate1 = self._open_gate(mc.op1, mc.nbytes, mc.op_id, "op1")
+                waits = [g for g in (gate0, gate1) if isinstance(g, Event)]
+                if len(waits) == 2:
+                    yield all_of(env, waits)
+                elif waits:
+                    yield waits[0]
+                data0, t0 = gate0.value if isinstance(gate0, Event) else gate0
+                data1, t1 = gate1.value if isinstance(gate1, Event) else gate1
+                timing = t0 + t1
+                data = engine.plugins.apply_binary(mc.func, data0, data1)
             else:
-                data, t0 = yield gate0
-                timing += t0
+                if isinstance(gate0, Event):
+                    gate0 = yield gate0
+                data, timing = gate0
                 if mc.func is not None:
-                    data = self.engine.plugins.apply_unary(mc.func, data)
+                    data = engine.plugins.apply_unary(mc.func, data)
             # Cut-through execution: operand movement, the crossbar pass and
             # the result movement all stream concurrently at 64 B/cycle; the
             # instruction retires when the slowest stage drains.
-            timing.append(self.engine.noc.route(
+            timing.append(engine.noc.route(
                 self._NOC_PORT[mc.op0.kind], self._NOC_PORT[mc.res.kind],
                 mc.nbytes,
             ))
             timing += self._emit_events(mc.res, mc.nbytes, data)
-            yield all_of(self.env, timing)
+            yield all_of(env, timing)
             if mc.res.kind is SlotKind.MEMORY and data is not None:
                 mc.res.view.set_array(data)
             self.instructions_executed += 1
             return data
         finally:
-            self.engine.trace("dmp", "retire", nbytes=mc.nbytes)
-            self.engine.span_end(sid)
+            if engine.tracer is not None:
+                engine.trace("dmp", "retire", nbytes=mc.nbytes)
+            engine.span_end(sid)
             self._slots.release()
 
     def register_metrics(self, registry, **labels) -> None:

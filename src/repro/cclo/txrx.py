@@ -39,8 +39,8 @@ class TxSystem:
         self.messages_sent = 0
 
     def _fsm(self) -> float:
-        # Yielded directly by the send processes: a plain float takes the
-        # kernel's allocation-free sleep path.
+        # Every send opens with the FSM pass: it is the send process's start
+        # delay, so the process costs one heap event to begin, not two.
         return self.config.cycles(self.config.txrx_fsm_cycles)
 
     def send_eager(self, signature: Signature, dest_addr: int,
@@ -48,12 +48,11 @@ class TxSystem:
         """EAGER_MSG / STREAM: signature header + payload via SEND path."""
         return self.env.process(
             self._send_eager(signature, dest_addr, data, pace),
-            name=f"{self.name}.eager",
+            name=f"{self.name}.eager", delay=self._fsm(),
         )
 
     def _send_eager(self, signature: Signature, dest_addr: int, data: Any,
                     pace: Any = None):
-        yield self._fsm()
         self.messages_sent += 1
         yield self.poe.send_message(
             dest_addr,
@@ -68,11 +67,10 @@ class TxSystem:
         """Small control message (RNDZ_INIT / RNDZ_DONE) via two-sided SEND."""
         return self.env.process(
             self._send_control(signature, dest_addr),
-            name=f"{self.name}.ctrl",
+            name=f"{self.name}.ctrl", delay=self._fsm(),
         )
 
     def _send_control(self, signature: Signature, dest_addr: int):
-        yield self._fsm()
         self.messages_sent += 1
         yield self.poe.send_message(dest_addr, SIGNATURE_BYTES, meta=signature)
         return signature
@@ -93,13 +91,12 @@ class TxSystem:
             )
         return self.env.process(
             self._send_write(signature, dest_addr, descriptor, data, pace),
-            name=f"{self.name}.write",
+            name=f"{self.name}.write", delay=self._fsm(),
         )
 
     def _send_write(self, signature: Signature, dest_addr: int,
                     descriptor: BufferDescriptor, data: Any,
                     pace: Any = None):
-        yield self._fsm()
         self.messages_sent += 1
         yield self.poe.post_write(
             dest_addr, signature.nbytes, remote_descriptor=descriptor,

@@ -59,13 +59,15 @@ class Memory:
         self.name = name
         self._port = BandwidthResource(env, bandwidth, name=f"{name}.port")
         self._allocations: Dict[int, Allocation] = {}
+        # Running total of live allocations: every rendezvous receive
+        # allocates scratch, so re-summing the table per call is O(n).
+        self._allocated_bytes = 0
         self._next_offset = 0
-        self._freed_bytes = 0
         self._handles = itertools.count(1)
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(a.nbytes for a in self._allocations.values())
+        return self._allocated_bytes
 
     @property
     def free_bytes(self) -> int:
@@ -91,6 +93,7 @@ class Memory:
         alloc = Allocation(self, self._next_offset, nbytes, next(self._handles))
         self._next_offset += nbytes
         self._allocations[alloc.handle] = alloc
+        self._allocated_bytes += nbytes
         return alloc
 
     def free(self, alloc: Allocation) -> None:
@@ -98,7 +101,7 @@ class Memory:
             raise PlatformError(
                 f"{self.name}: double free or foreign allocation {alloc.handle}"
             )
-        self._freed_bytes += alloc.nbytes
+        self._allocated_bytes -= alloc.nbytes
 
     def read(self, nbytes: int) -> Event:
         """Event completing when *nbytes* have been read from the port."""

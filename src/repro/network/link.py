@@ -38,8 +38,8 @@ class Link:
     # drops the per-instance __dict__.
     __slots__ = (
         "env", "rate", "latency", "name", "coalesce", "_pipe", "_sink",
-        "_burst_sink", "_burst_at_tail", "_last_owner", "_train",
-        "_train_prev", "_train_tail", "_intr_free", "_convoy",
+        "_sink_delay", "_burst_sink", "_burst_at_tail", "_last_owner",
+        "_train", "_train_prev", "_train_tail", "_intr_free", "_convoy",
         "_convoy_token", "_relay", "segments_carried", "_in_flight",
         "_pump_scheduled", "_span_tracer", "flow_decisions",
     )
@@ -61,6 +61,7 @@ class Link:
         self.coalesce = coalesce
         self._pipe = BandwidthResource(env, rate, name=f"{name}.pipe")
         self._sink: Optional[Callable[[Segment], None]] = None
+        self._sink_delay = 0.0
         self._burst_sink: Optional[Callable[[Burst], None]] = None
         self._burst_at_tail = False
         # Message descriptor (segment/burst ``meta``) of the traffic that
@@ -136,11 +137,24 @@ class Link:
         spans (record-only; ``None`` deactivates)."""
         self._span_tracer = span_tracer
 
-    def connect(self, sink: Callable[[Segment], None]) -> None:
-        """Attach the receiving side; exactly one sink per link."""
+    def connect(self, sink: Callable[[Segment], None],
+                delay: float = 0.0) -> None:
+        """Attach the receiving side; exactly one sink per link.
+
+        ``delay`` hands each segment to *sink* that long after it arrives:
+        a switch's fixed forwarding latency is charged here, by the feeding
+        link's delivery, instead of by a callback of its own per segment.
+        The delivery fires at ``arrival + delay`` — the same float the
+        switch's ``schedule_callback(delay, ...)`` at arrival produced —
+        and, the delay being one constant per sink, the segments reach the
+        sink in their arrival order.
+        """
         if self._sink is not None:
             raise NetworkError(f"link {self.name!r} already has a sink")
+        if delay < 0:
+            raise ValueError(f"negative sink delay: {delay}")
         self._sink = sink
+        self._sink_delay = delay
 
     def connect_burst(self, sink: Callable[[Burst], None],
                       at_tail: bool = False) -> None:
@@ -185,7 +199,8 @@ class Link:
 
         Returns the simulation time at which the last byte leaves the
         transmitter (useful for senders that pace subsequent segments).
-        Delivery to the sink happens ``latency`` later.
+        Delivery to the sink happens ``latency`` (plus the sink's
+        ``connect`` delay) later.
         """
         if self._sink is None:
             raise NetworkError(f"link {self.name!r} has no sink connected")
@@ -197,43 +212,45 @@ class Link:
             )
         env = self.env
         pipe = self._pipe
+        egress_done = -1.0
         if (self._train is not None and segment.n_frames == 1
                 and pipe._free_at > env._now
                 and pipe._free_at == self._train_tail):
             egress_done = self._interleave(segment)
-            if egress_done >= 0.0:
-                return egress_done
-        tracer = self._span_tracer
-        if tracer is not None:
-            queued_until = self._pipe.busy_until()
-            if queued_until > env.now:
-                # The serializer is still busy with earlier traffic: the
-                # segment queues.  Attribute the head-of-line delay to the
-                # owning collective (ack/credit segments carry no op id).
-                meta = getattr(segment.meta, "meta", None)
-                op = getattr(meta, "op_id", -1)
-                if op >= 0:
-                    tracer.span_complete(
-                        self.name, "wait:link_busy", env.now, queued_until,
-                        phase="wait", op_id=op, cause="link_busy",
-                        nbytes=segment.wire_bytes)
-        egress_done = self._pipe.reserve(segment.wire_bytes)
-        self._last_owner = segment.meta
+        if egress_done < 0.0:
+            tracer = self._span_tracer
+            if tracer is not None:
+                queued_until = pipe.busy_until()
+                if queued_until > env.now:
+                    # The serializer is still busy with earlier traffic: the
+                    # segment queues.  Attribute the head-of-line delay to
+                    # the owning collective (ack/credit segments carry no op
+                    # id).
+                    meta = getattr(segment.meta, "meta", None)
+                    op = getattr(meta, "op_id", -1)
+                    if op >= 0:
+                        tracer.span_complete(
+                            self.name, "wait:link_busy", env.now,
+                            queued_until, phase="wait", op_id=op,
+                            cause="link_busy", nbytes=segment.wire_bytes)
+            egress_done = pipe.reserve(segment.wire_bytes)
+            self._last_owner = segment.meta
         self.segments_carried += 1
-        deliver_at = egress_done + self.latency
+        # The fire time reproduces the relative path's float rounding
+        # (now + (deliver_at - now)) bit-for-bit, then adds the sink's
+        # constant delay exactly as a callback scheduled at arrival would.
+        now = env._now
+        fire_at = now + (egress_done + self.latency - now) + self._sink_delay
         if self.coalesce:
             # A back-to-back segment train keeps one heap entry alive instead
             # of one per segment: the pump delivers each segment at its exact
-            # reserved time, so timing and per-link order are unchanged.  The
-            # stored fire time reproduces the relative path's float rounding
-            # (now + (deliver_at - now)) bit-for-bit.
-            fire_at = env.now + (deliver_at - env.now)
+            # reserved time, so timing and per-link order are unchanged.
             self._in_flight.append((fire_at, segment))
             if not self._pump_scheduled:
                 self._pump_scheduled = True
                 env.schedule_callback_at(fire_at, self._pump)
         else:
-            env.schedule_callback(deliver_at - env.now, self._sink, segment)
+            env.schedule_callback_at(fire_at, self._sink, segment)
         return egress_done
 
     def _pump(self) -> None:
@@ -280,7 +297,8 @@ class Link:
         reservation and the already-scheduled burst delivery stand.
 
         Returns the egress-complete time, or a negative value when *now*
-        falls outside every recorded train window.
+        falls outside every recorded train window; :meth:`send` counts and
+        delivers the segment.
         """
         env = self.env
         now = env._now
@@ -298,7 +316,6 @@ class Link:
         pipe._bytes_moved += segment.wire_bytes
         pipe._record_busy(start, egress_done)
         self._intr_free = egress_done
-        self.segments_carried += 1
         self._flow_decision("interleave")
         tracer = self._span_tracer
         if tracer is not None and start > now:
@@ -309,15 +326,6 @@ class Link:
                     self.name, "wait:link_busy", now, start,
                     phase="wait", op_id=op, cause="link_busy",
                     nbytes=segment.wire_bytes)
-        deliver_at = egress_done + self.latency
-        if self.coalesce:
-            fire_at = now + (deliver_at - now)
-            self._in_flight.append((fire_at, segment))
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
-                env.schedule_callback_at(fire_at, self._pump)
-        else:
-            env.schedule_callback(deliver_at - now, self._sink, segment)
         return egress_done
 
     def send_burst(self, burst: Burst) -> float:

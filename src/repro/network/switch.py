@@ -1,6 +1,7 @@
 """Output-queued switch model (Cisco Nexus class).
 
-Forwarding is cut-through with a fixed port-to-port latency; contention shows
+Forwarding is cut-through with a fixed port-to-port latency, charged by the
+delivery of the link that feeds the switch; contention shows
 up on the egress :class:`~repro.network.link.Link` of the destination port,
 which is exactly where in-cast congestion (the paper's motivation for
 tree-based reduce/gather at large sizes) materializes.
@@ -98,11 +99,25 @@ class Switch:
             )
         return egress
 
+    def connect_feed(self, link: Link) -> None:
+        """Make *link* deliver into this switch.
+
+        The link hands each segment over ``forwarding_latency`` after it
+        arrives (:meth:`Link.connect` ``delay``), so the fixed port-to-port
+        latency costs no heap event of its own; bursts keep their
+        forwarding callback.
+        """
+        link.connect(self.ingress, delay=self.forwarding_latency)
+        link.connect_burst(self.ingress_burst)
+
     def ingress(self, segment: Segment) -> None:
-        """Entry point wired as the sink of every endpoint's uplink."""
-        egress = self._route(segment.src, segment.dst)
+        """Sink of every link feeding this switch (:meth:`connect_feed`).
+
+        Runs once the segment has crossed the switch, so it goes straight
+        onto its egress link.
+        """
         self.segments_forwarded += 1
-        self.env.schedule_callback(self.forwarding_latency, egress.send, segment)
+        self._route(segment.src, segment.dst).send(segment)
 
     def ingress_burst(self, burst: Burst) -> None:
         """Forward a fast-forwarded train (flow fidelity) in one step.

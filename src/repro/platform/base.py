@@ -76,11 +76,13 @@ class BaseBuffer:
 
     def device_read(self, nbytes: Optional[int] = None) -> Event:
         """CCLO reads *nbytes* from this buffer (device datapath)."""
-        return self.platform.device_access(self, nbytes or self.nbytes, "read")
+        return self.platform.device_access(
+            self, self.nbytes if nbytes is None else nbytes, "read")
 
     def device_write(self, nbytes: Optional[int] = None) -> Event:
         """CCLO writes *nbytes* into this buffer (device datapath)."""
-        return self.platform.device_access(self, nbytes or self.nbytes, "write")
+        return self.platform.device_access(
+            self, self.nbytes if nbytes is None else nbytes, "write")
 
     def view(self, offset_bytes: int = 0,
              nbytes: Optional[int] = None) -> "BufferView":

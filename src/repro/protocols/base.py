@@ -90,7 +90,8 @@ class BasePoe:
     Subclasses set class attributes (``protocol_name``, ``mtu``,
     ``poe_latency``) and may override hooks:
 
-    - :meth:`_tx_flow_control` -- yield before each segment (window/credits).
+    - :meth:`_tx_flow_control` -- gate each segment (window/credits).
+    - :meth:`_tx_post_segment` -- per-segment transmit bookkeeping.
     - :meth:`_on_segment_delivered` -- receive-side accounting (acks).
     - :meth:`_deliver` -- how a completed message reaches the consumer.
     """
@@ -228,28 +229,31 @@ class BasePoe:
             meta=meta,
         )
         self.messages_sent += 1
-        return self.env.process(
-            self._tx_process(header, data, pace),
-            name=f"{self.name}.tx{header.msg_id}",
-        )
-
-    def _tx_process(self, header: MessageHeader, data: Any, pace: Any = None):
-        bulk = header.nbytes > self.segment_bytes
+        # The message is in flight from now on, though its transmit process
+        # starts only after the POE pipeline latency: flow-mode convoys read
+        # the bulk count for their ``share`` in between.
+        bulk = nbytes > self.segment_bytes
         if bulk:
             self._tx_bulk_inflight += 1
+        return self.env.process(
+            self._tx_process(header, data, pace, self.env._now, bulk),
+            name=f"{self.name}.tx{header.msg_id}",
+            delay=self.poe_latency,
+        )
+
+    def _tx_process(self, header: MessageHeader, data: Any, pace: Any,
+                    t_start: float, bulk: bool):
+        """Transmit process; starts ``poe_latency`` after *t_start*."""
         try:
-            result = yield from self._tx_run(header, data, pace)
+            result = yield from self._tx_run(header, data, pace, t_start)
         finally:
             if bulk:
                 self._tx_bulk_inflight -= 1
         return result
 
-    def _tx_run(self, header: MessageHeader, data: Any, pace: Any = None):
+    def _tx_run(self, header: MessageHeader, data: Any, pace: Any,
+                t_start: float):
         tracer = self._span_tracer
-        t_start = self.env.now
-        # Plain-float yields take the kernel's allocation-free sleep path;
-        # this loop runs once per 32 KiB segment and dominates big transfers.
-        yield self.poe_latency
         env = self.env
         remaining = header.nbytes
         seqno = 0
@@ -287,6 +291,8 @@ class BasePoe:
         if tracer is not None and header.tx_t0 < 0:
             header.tx_t0 = env.now
         endpoint_send = self.endpoint.send
+        flow_control = self._tx_flow_control
+        post_segment = self._tx_post_segment
         address = self.address
         dst_addr = header.dst_addr
         protocol_name = self.protocol_name
@@ -301,18 +307,19 @@ class BasePoe:
                 chunk = min(remaining, segment_bytes) if remaining else 0
                 if pace is not None and chunk > 0:
                     yield pace.take(chunk)
-                if tracer is not None:
-                    t_fc = env.now
-                    yield from self._tx_flow_control(header, chunk)
-                    if env.now > t_fc:
+                # A grant available at once comes back as None: no event,
+                # no bounce through the now-bucket.
+                wait = flow_control(header, chunk)
+                if wait is not None:
+                    t_fc = env._now
+                    yield wait
+                    if tracer is not None and env._now > t_fc:
                         tracer.span_complete(
                             f"{self._trace_node}.poe",
                             f"wait:{self.flow_control_cause}",
-                            t_fc, env.now, phase="wait",
+                            t_fc, env._now, phase="wait",
                             op_id=getattr(header.meta, "op_id", -1),
                             cause=self.flow_control_cause, dst=dst_addr)
-                else:
-                    yield from self._tx_flow_control(header, chunk)
                 segment = Segment(
                     src=address,
                     dst=dst_addr,
@@ -324,14 +331,17 @@ class BasePoe:
                     seqno=seqno,
                 )
                 egress_done = endpoint_send(segment)
-                yield from self._tx_post_segment(header, segment)
+                wait = post_segment(header, segment)
+                if wait is not None:
+                    yield wait
                 remaining -= chunk
                 seqno += 1
                 sent_any = True
                 if remaining > 0:
                     # Pace the next segment to the serializer: prevents
                     # flooding the heap, keeps FIFO fairness between
-                    # concurrent messages.
+                    # concurrent messages.  Plain-float yields take the
+                    # kernel's allocation-free sleep path.
                     pause = egress_done - env.now
                     yield pause if pause > 0.0 else 0.0
         finally:
@@ -345,15 +355,21 @@ class BasePoe:
                 nbytes=header.nbytes, dst=header.dst_addr)
         return header
 
-    def _tx_flow_control(self, header: MessageHeader, chunk: int):
-        """Subclass hook: yield until *chunk* bytes may enter the wire."""
-        return
-        yield  # pragma: no cover — makes this a generator
+    def _tx_flow_control(self, header: MessageHeader,
+                         chunk: int) -> Optional[Event]:
+        """Subclass hook: gate *chunk* bytes' entry onto the wire.
 
-    def _tx_post_segment(self, header: MessageHeader, segment: Segment):
-        """Subclass hook: per-segment bookkeeping (e.g. retx buffering)."""
-        return
-        yield  # pragma: no cover
+        Returns ``None`` when the segment may go now, or an event to wait
+        on.  Taking a grant that is available at once synchronously and
+        returning ``None`` saves the event's bounce through the now-bucket.
+        """
+        return None
+
+    def _tx_post_segment(self, header: MessageHeader,
+                         segment: Segment) -> Optional[Event]:
+        """Subclass hook: per-segment bookkeeping (e.g. retx buffering);
+        an event return holds the next segment until it fires."""
+        return None
 
     # -- flow-fidelity fast-forward ----------------------------------------
 

@@ -34,6 +34,12 @@ class RdmaOpcode(enum.Enum):
     WRITE = "write"
 
 
+# Header ``kind`` strings of the two verbs, hoisted out of the per-segment
+# paths (an enum member's ``.value`` is a descriptor lookup each time).
+_SEND = RdmaOpcode.SEND.value
+_WRITE = RdmaOpcode.WRITE.value
+
+
 @dataclass(slots=True)
 class QueuePair:
     qp_num: int
@@ -158,7 +164,7 @@ class RdmaPoe(BasePoe):
         """Two-sided SEND verb."""
         qp = self.qp_to(dst_addr)
         return super().send_message(
-            dst_addr, nbytes, meta=meta, data=data, kind=RdmaOpcode.SEND.value,
+            dst_addr, nbytes, meta=meta, data=data, kind=_SEND,
             session=qp.qp_num, pace=pace,
         )
 
@@ -168,23 +174,28 @@ class RdmaPoe(BasePoe):
         qp = self.qp_to(dst_addr)
         return super().send_message(
             dst_addr, nbytes, meta=remote_descriptor, data=data,
-            kind=RdmaOpcode.WRITE.value, session=qp.qp_num, pace=pace,
+            kind=_WRITE, session=qp.qp_num, pace=pace,
         )
 
     def send_message(self, dst_addr, nbytes, meta=None, data=None,
-                     kind=RdmaOpcode.SEND.value, session=0, pace=None):
+                     kind=_SEND, session=0, pace=None):
         """Generic entry (used by the CCLO Tx system); dispatches on verb."""
-        if kind == RdmaOpcode.WRITE.value:
+        if kind == _WRITE:
             return self.post_write(dst_addr, nbytes, meta, data, pace=pace)
         return self.post_send(dst_addr, nbytes, meta=meta, data=data,
                               pace=pace)
 
     # -- flow control -------------------------------------------------------------
 
-    def _tx_flow_control(self, header: MessageHeader, chunk: int):
-        qp = self._by_remote[header.dst_addr]
-        if chunk > 0:
-            yield qp.credits.take(chunk)
+    def _tx_flow_control(self, header: MessageHeader,
+                         chunk: int) -> Optional[Event]:
+        # Credits on hand are taken synchronously; only a starved QP waits.
+        if chunk == 0:
+            return None
+        credits = self._by_remote[header.dst_addr].credits
+        if credits.try_take(chunk):
+            return None
+        return credits.take(chunk)
 
     def _flow_tx_ready(self, header: MessageHeader) -> bool:
         # Credits are transparent only when untouched: the bucket is full,
@@ -205,8 +216,7 @@ class RdmaPoe(BasePoe):
         # the earlier overlapped writes are elided (they finish long before
         # the train does on any path idle enough to admit a burst).
         header: MessageHeader = burst.meta
-        if (header.kind == RdmaOpcode.WRITE.value
-                and self._segment_writer is not None):
+        if header.kind == _WRITE and self._segment_writer is not None:
             self._segment_writer(header, burst.last_bytes)
 
     def _on_segment_delivered(self, segment) -> None:
@@ -238,7 +248,7 @@ class RdmaPoe(BasePoe):
             if qp is not None:
                 qp.credits.give(header.meta)
             return
-        if (header.kind == RdmaOpcode.WRITE.value
+        if (header.kind == _WRITE
                 and segment.payload_bytes > 0
                 and self._segment_writer is not None):
             self._segment_writer(header, segment.payload_bytes)
@@ -247,7 +257,7 @@ class RdmaPoe(BasePoe):
     # -- delivery ---------------------------------------------------------------
 
     def _deliver(self, header: MessageHeader, data: Any) -> None:
-        if header.kind == RdmaOpcode.WRITE.value:
+        if header.kind == _WRITE:
             if self._memory_writer is None:
                 raise ProtocolError(
                     f"{self.name}: WRITE arrived but no memory writer is "

@@ -18,7 +18,7 @@ Hot-path design notes
 
 The kernel is the simulator's constant factor: large sweeps process millions
 of events, so a handful of attribute lookups per event is measurable in wall
-time.  Three fast paths keep the per-event cost low without changing any
+time.  These fast paths keep the per-event cost low without changing any
 observable ordering:
 
 - :meth:`Environment.schedule_callback` pushes a bare ``(fn, args)`` tuple on
@@ -34,6 +34,9 @@ observable ordering:
   zero event allocations for a plain sleep, which dominates protocol pacing
   loops.  Interrupts remain safe: a monotonically increasing sleep token
   invalidates stale wakeups.
+- A process may start late (:meth:`Environment.process` with ``delay``):
+  the bootstrap itself sits on the heap, so a body that would open with a
+  constant sleep costs one heap event instead of two.
 - Zero-delay scheduling (event triggers, process terminations, ``yield
   0.0``, immediate callbacks) bypasses the heap entirely: entries land in a
   FIFO *now-bucket* drained before time advances.  Same-timestamp runs —
@@ -248,19 +251,32 @@ class Process(Event):
         env: "Environment",
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
+        delay: float = 0.0,
     ):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        if delay < 0:
+            raise ValueError(f"negative start delay: {delay}")
+        # Inlined Event.__init__: one process per message and instruction.
+        self.env = env
+        self.callbacks = _NO_CALLBACKS
+        self._value = PENDING
+        self._ok = None
+        self._scheduled = False
+        self._defused = False
         self._generator = generator
         self._target: Optional[Any] = None
         self._sleep_token = 0
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume once at the current time.  A callback tuple takes
-        # the sequence slot the old init-Event used, so start order at equal
-        # timestamps is unchanged.
+        # Bootstrap: resume once, at the current time or *delay* later.  A
+        # callback tuple takes the sequence slot the old init-Event used, so
+        # start order at equal timestamps is unchanged.
         env._seq += 1
-        env._bucket.append((env._seq, (self._bootstrap, ())))
+        if delay == 0.0:
+            env._bucket.append((env._seq, (self._bootstrap, ())))
+        else:
+            heappush(env._heap,
+                     (env._now + delay, env._seq, (self._bootstrap, ())))
 
     @property
     def is_alive(self) -> bool:
@@ -396,7 +412,7 @@ class Condition(Event):
         return {
             i: ev._value
             for i, ev in enumerate(self._events)
-            if ev.triggered
+            if ev._value is not PENDING
         }
 
 
@@ -523,9 +539,17 @@ class Environment:
         self,
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
+        delay: float = 0.0,
     ) -> Process:
-        """Start a new process running *generator*."""
-        return Process(self, generator, name=name)
+        """Start a new process running *generator*.
+
+        ``delay`` starts it that long from now instead: the bootstrap goes
+        on the heap directly, so a process whose body would open with a
+        constant sleep costs one heap event instead of a bootstrap plus a
+        wakeup.  Work that must happen at the *logical* start (counters,
+        span openings) belongs to the caller, before this call.
+        """
+        return Process(self, generator, name, delay)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when none is pending."""

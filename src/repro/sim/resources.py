@@ -48,6 +48,14 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
+    def try_acquire(self) -> bool:
+        """Take a free slot now, without an event; False when none is free
+        (the caller then waits on :meth:`acquire`).  Pair with release()."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
@@ -221,6 +229,15 @@ class TokenBucket:
         else:
             self._waiters.append((ev, amount))
         return ev
+
+    def try_take(self, amount: int) -> bool:
+        """Take *amount* tokens now, without an event, when :meth:`take`
+        would grant them at once (enough available, nobody queued); False
+        otherwise, and the caller waits on :meth:`take` instead."""
+        if self._available >= amount and not self._waiters:
+            self._available -= amount
+            return True
+        return False
 
     def give(self, amount: int = 1) -> None:
         self._available = min(self.capacity, self._available + amount)

@@ -102,6 +102,29 @@ class TestMicrocode:
         assert Slot.rx_eager(0, 1, 2).src_rank == 1
 
 
+class TestDmpSlots:
+    def test_slots_granted_in_issue_order(self):
+        # An instruction issued onto a full DMP keeps its place even when a
+        # slot frees before its process first runs: the one issued next,
+        # in the same instant, must not take the slot from it.
+        from repro.cluster import build_fpga_cluster
+
+        cluster = build_fpga_cluster(
+            1, platform="sim", cclo_config=CcloConfig(dmp_parallel_slots=1))
+        env = cluster.env
+        dmp = cluster.nodes[0].engine.dmp
+        assert dmp._slots.try_acquire()  # a running instruction
+        done = []
+        first = dmp.issue(Microcode(nbytes=64, op0=Slot.immediate(None)))
+        dmp._slots.release()  # ...retires in the same instant
+        second = dmp.issue(Microcode(nbytes=64, op0=Slot.immediate(None)))
+        first.add_callback(lambda _e: done.append(("first", env.now)))
+        second.add_callback(lambda _e: done.append(("second", env.now)))
+        env.run()
+        assert [name for name, _ in done] == ["first", "second"]
+        assert done[0][1] < done[1][1]
+
+
 class TestNoC:
     def make(self):
         env = Environment()

@@ -20,6 +20,20 @@ class TestAllocator:
         mem.free(b)
         assert mem.free_bytes == 1000
 
+    def test_allocated_bytes_tracks_live_allocations(self):
+        env = Environment()
+        mem = Memory(env, capacity=1000, bandwidth=1e9)
+        allocs = [mem.allocate(n) for n in (100, 250, 50)]
+        assert mem.allocated_bytes == 400
+        mem.free(allocs[1])
+        assert mem.allocated_bytes == 150
+        allocs.append(mem.allocate(700))
+        assert mem.allocated_bytes == 850
+        for a in (allocs[0], allocs[2], allocs[3]):
+            mem.free(a)
+        assert mem.allocated_bytes == 0
+        assert mem.free_bytes == 1000
+
     def test_exhaustion_raises(self):
         env = Environment()
         mem = Memory(env, capacity=100, bandwidth=1e9, name="tiny")

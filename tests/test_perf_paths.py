@@ -19,14 +19,15 @@ from repro.sim import Environment, Interrupt
 from repro.sim.kernel import SimulationError
 
 
-def _run_segment_train(coalesce: bool, train):
+def _run_segment_train(coalesce: bool, train, sink_delay: float = 0.0):
     """Drive one link with a (payload, gap) train; returns the arrival
     log ``[(time, payload), ...]`` and the final simulation time."""
     env = Environment()
     link = Link(env, rate=units.gbps(10), latency=units.us(1),
                 coalesce=coalesce)
     arrivals = []
-    link.connect(lambda seg: arrivals.append((env.now, seg.payload_bytes)))
+    link.connect(lambda seg: arrivals.append((env.now, seg.payload_bytes)),
+                 delay=sink_delay)
 
     def sender():
         for payload, gap in train:
@@ -83,6 +84,22 @@ class TestLinkCoalescing:
         uncoalesced, end_u = _run_segment_train(False, train)
         assert coalesced == uncoalesced
         assert end_c == end_u
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_sink_delay_hands_over_at_arrival_plus_delay(self, coalesce):
+        # A switch-bound link charges the forwarding latency: each segment
+        # reaches the sink at the float a callback scheduled at arrival
+        # with that delay would fire at, in arrival order.
+        train = [(4096, 0.0), (64, 0.0), (9000, units.us(3)), (0, 0.0)]
+        delay = units.ns(600)
+        plain, _ = _run_segment_train(coalesce, train)
+        delayed, _ = _run_segment_train(coalesce, train, sink_delay=delay)
+        assert delayed == [(t + delay, n) for t, n in plain]
+
+    def test_negative_sink_delay_rejected(self):
+        link = Link(Environment())
+        with pytest.raises(ValueError):
+            link.connect(lambda seg: None, delay=-1.0)
 
 
 class TestMaxSegmentBoundary:

@@ -144,6 +144,22 @@ class TestCoyote:
         with pytest.raises(PlatformError, match="different platform"):
             plat_b.device_access(buf, 100, "read")
 
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    def test_zero_byte_access_charges_nothing(self, direction):
+        # A 0-byte access is a 0-byte access, on a buffer as on a view —
+        # not a whole-buffer one.
+        for whole in (True, False):
+            env = Environment()
+            plat = CoyotePlatform(env)
+            buf = plat.allocate(units.MIB, BufferLocation.DEVICE)
+            target = buf if whole else buf.view(4096, 8192)
+            access = getattr(target, f"device_{direction}")
+            elapsed = run_event(env, lambda: access(0))
+            assert plat.device_memory.bytes_accessed == 0
+            assert elapsed < units.ns(500)
+            run_event(env, lambda: access())
+            assert plat.device_memory.bytes_accessed == target.nbytes
+
     def test_buffer_free_returns_capacity(self):
         env = Environment()
         plat = CoyotePlatform(env)

@@ -448,3 +448,41 @@ def test_environment_instrumentation_counters_advance():
     env.run()
     assert Environment.total_events_processed - events0 >= 3
     assert Environment.total_sim_time - sim0 == pytest.approx(4.0)
+
+
+def test_delayed_process_start_matches_leading_sleep():
+    # process(gen, delay=d) starts where "yield d" at the top of the body
+    # would have resumed it, at the same float, in creation order.
+    def run(delayed):
+        env = Environment()
+        env.run(until=0.1)
+        started = []
+
+        def body(tag):
+            started.append((tag, env.now))
+            yield env.timeout(0.0)
+
+        def sleeper(tag, d):
+            yield d
+            yield from body(tag)
+
+        for tag, d in (("a", 3e-7), ("b", 1e-7), ("c", 3e-7)):
+            if delayed:
+                env.process(body(tag), delay=d)
+            else:
+                env.process(sleeper(tag, d))
+        env.run()
+        return started
+
+    assert run(True) == run(False)
+    assert [tag for tag, _ in run(True)] == ["b", "a", "c"]
+
+
+def test_negative_process_delay_rejected():
+    env = Environment()
+
+    def body():
+        yield env.timeout(1.0)
+
+    with pytest.raises(ValueError):
+        env.process(body(), delay=-1.0)

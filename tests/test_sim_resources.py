@@ -310,3 +310,30 @@ def test_token_bucket_take_queues_behind_existing_waiters():
     env.process(giver())
     env.run()
     assert order == ["first", "second"]
+
+
+def test_try_acquire_takes_only_a_free_slot():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    assert res.try_acquire()
+    assert res.in_use == 1
+    assert not res.try_acquire()
+    waiter = res.acquire()
+    res.release()  # hands the slot to the waiter, not back to the pool
+    assert waiter.triggered and res.in_use == 1
+
+
+def test_try_take_grants_only_what_take_grants_at_once():
+    env = Environment()
+    bucket = TokenBucket(env, 10)
+    assert bucket.try_take(6)
+    assert bucket.available == 4
+    assert not bucket.try_take(5)
+    assert bucket.available == 4
+    queued = bucket.take(5)
+    # Enough for a small request, but a waiter is queued ahead of it.
+    assert not bucket.try_take(1)
+    bucket.give(6)
+    assert queued.triggered
+    assert bucket.try_take(1)
+    assert not bucket.try_take(11)  # beyond capacity: take() raises
