@@ -24,6 +24,7 @@ CLI::
 from __future__ import annotations
 
 import cProfile
+import gc
 import time
 import tracemalloc
 from typing import Any, Callable, Dict, List, Optional
@@ -41,19 +42,55 @@ _MICRO_OPS = 24
 # events/sec meter
 # ---------------------------------------------------------------------------
 
+class GcMeter:
+    """Collector passes, seconds and objects collected, per generation,
+    while the meter is entered (hooked in through :data:`gc.callbacks`).
+
+    cProfile charges a collection to whichever function happened to
+    allocate when it triggered, so collector cost is invisible there; this
+    meter reports it as a cost of its own.
+    """
+
+    def __init__(self) -> None:
+        self.generations = [{"passes": 0, "seconds": 0.0, "collected": 0}
+                            for _ in range(3)]
+        self._t0 = 0.0
+
+    def _callback(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+            return
+        gen = self.generations[info["generation"]]
+        gen["passes"] += 1
+        gen["seconds"] += time.perf_counter() - self._t0
+        gen["collected"] += info["collected"]
+
+    def __enter__(self) -> "GcMeter":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def report(self) -> Dict[str, Dict[str, Any]]:
+        return {f"gen{i}": dict(gen) for i, gen in enumerate(self.generations)}
+
+
 def measure(fn: Callable[[], Any], label: str = "run") -> Dict[str, Any]:
     """Run *fn* and report wall time against the kernel's event counters.
 
     ``events_per_s``/``ns_per_event`` use the class-wide counters on
     :class:`~repro.sim.kernel.Environment`, so everything the callable
     simulates — across any number of environments — is accounted.
+    ``gc`` holds the :class:`GcMeter` figures for the call.
     """
     events0 = Environment.total_events_processed
     ff0 = Environment.total_events_fast_forwarded
     sim0 = Environment.total_sim_time
-    start = time.perf_counter()
-    value = fn()
-    wall = time.perf_counter() - start
+    with GcMeter() as gc_meter:
+        start = time.perf_counter()
+        value = fn()
+        wall = time.perf_counter() - start
     events = Environment.total_events_processed - events0
     events_ff = Environment.total_events_fast_forwarded - ff0
     # Rates are quoted in packet-equivalent events: segments a flow-fidelity
@@ -68,6 +105,7 @@ def measure(fn: Callable[[], Any], label: str = "run") -> Dict[str, Any]:
         "sim_s": Environment.total_sim_time - sim0,
         "events_per_s": equivalent / wall if wall > 0 else 0.0,
         "ns_per_event": wall / equivalent * 1e9 if equivalent else 0.0,
+        "gc": gc_meter.report(),
     }
     return {"report": report, "value": value}
 
@@ -445,6 +483,20 @@ def perf_section(records, wall_s: float) -> Dict[str, Any]:
     }
 
 
+def render_gc(gc_report: Dict[str, Dict[str, Any]], wall_s: float) -> str:
+    """One ``gc:`` line: collector passes, seconds (and share of
+    *wall_s*) and objects collected, in total and per generation."""
+    gens = [gc_report[f"gen{i}"] for i in range(3)]
+    seconds = sum(g["seconds"] for g in gens)
+    share = seconds / wall_s * 100 if wall_s > 0 else 0.0
+    per_gen = ", ".join(
+        f"gen{i} {g['passes']}x {g['seconds']:.3f}s {g['collected']} freed"
+        for i, g in enumerate(gens))
+    return (f"gc: {sum(g['passes'] for g in gens)} passes, {seconds:.3f}s "
+            f"({share:.1f}% of wall), "
+            f"{sum(g['collected'] for g in gens)} objects freed ({per_gen})")
+
+
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable rendering of a :func:`profile_artifact` report."""
     lines = []
@@ -467,6 +519,7 @@ def render_report(report: Dict[str, Any]) -> str:
             f"sim {ar['time_s'] * 1e3:.2f} ms in {ar['wall_s']:.1f}s wall, "
             f"{equivalent} events ({ar['events_ff']} fast-forwarded), "
             f"{ar['events_per_s'] / 1e3:.1f}k events/s")
+        lines.append("  " + render_gc(ar["gc"], ar["wall_s"]))
         return "\n".join(lines)
     micro = report.get("microbenchmarks")
     if micro is not None:
@@ -492,6 +545,7 @@ def render_report(report: Dict[str, Any]) -> str:
         rate_line += (f" (incl. {report['events_ff']} fast-forwarded, "
                       f"fidelity=flow)")
     lines.append(rate_line)
+    lines.append("  " + render_gc(report["gc"], report["wall_s"]))
     mem = report.get("memory")
     if mem:
         lines.append(f"  tracemalloc peak {mem['peak_bytes']/1e6:.1f} MB "

@@ -309,12 +309,7 @@ class Link:
             # A previously interleaved segment still occupies the slot:
             # queue right behind it, as FIFO would.
             start = self._intr_free
-        pipe = self._pipe
-        duration = pipe.overhead + segment.wire_bytes / pipe.rate
-        egress_done = start + duration
-        pipe._busy_time += duration
-        pipe._bytes_moved += segment.wire_bytes
-        pipe._record_busy(start, egress_done)
+        egress_done = self._pipe.reserve_at(start, segment.wire_bytes)
         self._intr_free = egress_done
         self._flow_decision("interleave")
         tracer = self._span_tracer
@@ -457,10 +452,8 @@ class Link:
         f_pen = f_head + (n - 2) * step
         start_last = f_pen if f_pen > burst.last_at else burst.last_at
         f_last = start_last + dur_last
-        pipe._free_at = f_last
-        pipe._busy_time += (n - 1) * dur_full + dur_last
-        pipe._bytes_moved += burst.wire_total
-        pipe._record_busy(base, f_last)
+        pipe.occupy(base, f_last, (n - 1) * dur_full + dur_last,
+                    burst.wire_total)
         self._relay = (burst, base) if burst.seq_base == 0 else None
         self._last_owner = burst.meta
         self._train_prev = self._train
@@ -540,9 +533,6 @@ class Link:
         self._flow_decision("convoy:lay", burst)
         f_pen = self._convoy_lay(burst, convoy, phase)
         n = burst.n_segments
-        pipe._busy_time += ((n - 1) * dur
-                            + pipe.overhead + burst.wire_last / pipe.rate)
-        pipe._bytes_moved += burst.wire_total
         self._last_owner = owner
         self.segments_carried += n
         Environment.total_events_fast_forwarded += n - 1
@@ -616,15 +606,17 @@ class Link:
             self._respace(b, convoy, members[key])
         return True
 
-    def _respace(self, burst: Burst, convoy: dict, phase: int) -> float:
+    def _respace(self, burst: Burst, convoy: dict, phase: int,
+                 busy: float = 0.0, nbytes: int = 0) -> float:
         """Move an already-committed train onto the convoy's current grid.
 
         Re-stamps the burst's timing in place — safe because its delivery
         callback reads the fields when it fires, and the head time (slot
         ``origin + phase*dur`` plus one serialization) does not depend on
         the grid step for an opening sub-burst.  Wire bookkeeping (busy
-        time, bytes) was charged when the train was first laid and does
-        not change with spacing; only the busy span and ``free_at`` grow.
+        time, bytes) is charged once, when the train is first laid
+        (*busy*/*nbytes* from :meth:`_convoy_lay`), and does not change
+        with spacing; only the busy span and ``free_at`` grow.
         Returns the handoff (the penultimate slot's egress).
         """
         pipe = self._pipe
@@ -639,9 +631,7 @@ class Link:
         f_last = start_last + dur_last
         if f_last > convoy["tail"]:
             convoy["tail"] = f_last
-        if f_last > pipe._free_at:
-            pipe._free_at = f_last
-        pipe._record_busy(start_head, f_last)
+        pipe.occupy(start_head, f_last, busy, nbytes)
         latency = self.latency
         burst.convoy = convoy["token"]
         burst.spacing = step
@@ -651,7 +641,12 @@ class Link:
 
     def _convoy_lay(self, burst: Burst, convoy: dict, phase: int) -> float:
         """Put a member's sub-burst on its slots; returns the handoff."""
-        f_pen = self._respace(burst, convoy, phase)
+        pipe = self._pipe
+        f_pen = self._respace(
+            burst, convoy, phase,
+            ((burst.n_segments - 1) * convoy["dur"]
+             + pipe.overhead + burst.wire_last / pipe.rate),
+            burst.wire_total)
         convoy["bursts"][id(burst.meta)] = burst
         # A convoy train has no idle inter-segment gaps — the slots between
         # one member's segments belong to its siblings — so single-frame
@@ -690,11 +685,8 @@ class Link:
         f_pen = f_head + (n - 2) * step
         start_last = burst.last_at if burst.last_at > f_pen else f_pen
         f_last = start_last + dur_last
-        if f_last > pipe._free_at:
-            pipe._free_at = f_last
-        pipe._busy_time += (n - 1) * dur + dur_last
-        pipe._bytes_moved += burst.wire_total
-        pipe._record_busy(head_at, f_last)
+        pipe.occupy(head_at, f_last, (n - 1) * dur + dur_last,
+                    burst.wire_total)
         self._last_owner = burst.meta
         self._convoy_token = token
         # Sibling trains fill each other's slot gaps: no control-segment

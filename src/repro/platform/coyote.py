@@ -145,9 +145,15 @@ class CoyotePlatform(BasePlatform):
         pages_touched = min(
             n_pages, max(1, -(-nbytes // Tlb.PAGE_BYTES))
         )
-        translate = sum(
-            self.tlb.translate(first_page + i) for i in range(pages_touched)
-        )
+        if pages_touched == 1:
+            # Almost every access: skip the generator.  sum() would add the
+            # one latency to 0, which leaves the float unchanged.
+            translate = self.tlb.translate(first_page)
+        else:
+            translate = sum(
+                self.tlb.translate(first_page + i)
+                for i in range(pages_touched)
+            )
         if buffer.location is BufferLocation.DEVICE:
             mem_delay = self.device_memory.access_delay(nbytes)
             return self.env.timeout(translate + mem_delay)

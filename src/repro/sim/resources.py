@@ -10,10 +10,14 @@ costs O(1) events regardless of its size.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.sim.kernel import Environment, Event
+
+#: cached last busy end of a pipe with no busy history yet
+_NO_BUSY = float("-inf")
 
 
 class Resource:
@@ -80,7 +84,7 @@ class BandwidthResource:
     """
 
     __slots__ = ("env", "rate", "overhead", "name", "_free_at", "_busy_time",
-                 "_bytes_moved", "_busy_intervals")
+                 "_bytes_moved", "_busy", "_busy_end")
 
     def __init__(
         self,
@@ -100,22 +104,27 @@ class BandwidthResource:
         self._free_at = 0.0
         self._busy_time = 0.0
         self._bytes_moved = 0
-        # Busy time in timestamped form: merged, non-overlapping
-        # [start, end] occupancy intervals, sorted by start.  Back-to-back
-        # transfers extend the last interval, so the list only grows at
-        # idle gaps and windowed queries stay cheap.
-        self._busy_intervals: List[List[float]] = []
+        # Busy time in timestamped form: merged, non-overlapping occupancy
+        # intervals sorted by start (and so by end), stored flat as
+        # ``start0, end0, start1, end1, ...`` C doubles.  Back-to-back
+        # transfers extend the last interval, so the array only grows at
+        # idle gaps — by 16 bytes, never by a garbage-collected object.
+        # ``_busy_end`` caches the last end (``-inf`` while empty).
+        self._busy = array("d")
+        self._busy_end = _NO_BUSY
 
     @property
     def bytes_moved(self) -> int:
         return self._bytes_moved
 
     def _record_busy(self, start: float, finish: float) -> None:
-        if self._busy_intervals and start <= self._busy_intervals[-1][1]:
-            last = self._busy_intervals[-1]
-            last[1] = max(last[1], finish)
+        if start <= self._busy_end:
+            if finish > self._busy_end:
+                self._busy[-1] = self._busy_end = finish
         else:
-            self._busy_intervals.append([start, finish])
+            self._busy.append(start)
+            self._busy.append(finish)
+            self._busy_end = finish
 
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of wall time the pipe was busy in ``[since, now]``.
@@ -127,12 +136,22 @@ class BandwidthResource:
         elapsed = now - since
         if elapsed <= 0:
             return 0.0
-        busy = 0.0
-        for start, end in reversed(self._busy_intervals):
-            if end <= since:
-                break
-            busy += max(0.0, min(end, now) - max(start, since))
-        return min(1.0, busy / elapsed)
+        busy = self._busy
+        # Ends ascend, so bisect for the first interval ending after
+        # *since*; only intervals from there on overlap the window.
+        lo, hi = 0, len(busy) // 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if busy[2 * mid + 1] <= since:
+                lo = mid + 1
+            else:
+                hi = mid
+        tail = busy[2 * lo:]
+        total = 0.0
+        # Newest first: the summation order fixes the float result.
+        for start, end in zip(tail[-2::-2], tail[::-2]):
+            total += max(0.0, min(end, now) - max(start, since))
+        return min(1.0, total / elapsed)
 
     def busy_until(self) -> float:
         """Simulation time at which the pipe becomes idle."""
@@ -165,15 +184,47 @@ class BandwidthResource:
         self._free_at = finish
         self._busy_time += duration
         self._bytes_moved += nbytes
-        intervals = self._busy_intervals
-        if intervals:
-            last = intervals[-1]
-            if start <= last[1]:
-                if finish > last[1]:
-                    last[1] = finish
-                return finish
-        intervals.append([start, finish])
+        busy_end = self._busy_end
+        if start <= busy_end:
+            if finish > busy_end:
+                self._busy[-1] = self._busy_end = finish
+            return finish
+        busy = self._busy
+        busy.append(start)
+        busy.append(finish)
+        self._busy_end = finish
         return finish
+
+    def reserve_at(self, start: float, nbytes: int) -> float:
+        """Occupy the pipe with *nbytes* from *start*, outside the FIFO.
+
+        For a transfer whose slot the caller found inside occupancy laid
+        down earlier (a control segment slotted into an analytic train):
+        busy time, bytes and the busy interval are charged as
+        :meth:`reserve` charges them, but the ``free_at`` watermark stays
+        where the earlier reservation put it.  Returns the completion time.
+        """
+        duration = self.overhead + nbytes / self.rate
+        finish = start + duration
+        self._busy_time += duration
+        self._bytes_moved += nbytes
+        self._record_busy(start, finish)
+        return finish
+
+    def occupy(self, start: float, finish: float, busy: float,
+               nbytes: int) -> None:
+        """Charge an occupancy the caller computed in closed form.
+
+        Flow-fidelity bursts lay a whole segment train at once: the pipe
+        is busy over ``[start, finish]`` (merged into the busy history),
+        *busy* seconds of serialization and *nbytes* bytes are added to
+        the counters, and ``free_at`` advances to *finish* if that is later.
+        """
+        if finish > self._free_at:
+            self._free_at = finish
+        self._busy_time += busy
+        self._bytes_moved += nbytes
+        self._record_busy(start, finish)
 
     def register_metrics(self, registry, name: Optional[str] = None,
                          **labels) -> None:

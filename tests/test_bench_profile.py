@@ -1,5 +1,6 @@
 """Smoke tests for the profiling harness and its CLI surface."""
 
+import gc
 import json
 import pstats
 
@@ -41,6 +42,37 @@ class TestMicrobenchmarks:
         # bootstrap + two sleep wakeups + final StopIteration resolution
         assert out["report"]["events"] >= 3
         assert out["report"]["sim_s"] == pytest.approx(2.0)
+
+
+class TestGcMeter:
+    def test_measure_reports_collector_passes(self):
+        def run():
+            a, b = [], []
+            a.append(b)
+            b.append(a)          # a cycle only the collector can free
+            del a, b
+            gc.collect()         # a full pass: every generation's callback
+
+        hooks = len(gc.callbacks)
+        report = profile_mod.measure(run, "collect")["report"]
+        assert len(gc.callbacks) == hooks    # the hook is removed again
+        full = report["gc"]["gen2"]
+        assert full["passes"] >= 1
+        assert full["collected"] >= 2
+        assert full["seconds"] >= 0.0
+        assert sorted(report["gc"]) == ["gen0", "gen1", "gen2"]
+        line = profile_mod.render_gc(report["gc"], report["wall_s"])
+        assert line.startswith("gc: ") and "gen2" in line
+        assert "  " + line in profile_mod.render_report(
+            dict(report, artifact="x", points=1))
+
+    def test_meter_counts_nothing_outside_its_block(self):
+        meter = profile_mod.GcMeter()
+        gc.collect()
+        with meter:
+            pass
+        gc.collect()
+        assert all(g["passes"] == 0 for g in meter.report().values())
 
 
 class TestProfileArtifact:

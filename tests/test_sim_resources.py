@@ -257,7 +257,8 @@ def test_bandwidth_back_to_back_transfers_merge_busy_intervals():
 
     env.process(proc())
     env.run()
-    assert len(pipe._busy_intervals) == 1
+    # One merged interval: the flat history holds a single (start, end) pair.
+    assert list(pipe._busy) == [0.0, 4.0]
     assert pipe.utilization() == pytest.approx(1.0)
 
 
